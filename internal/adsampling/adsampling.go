@@ -36,8 +36,10 @@ type Config struct {
 
 // DCO is the ADSampling comparator.
 type DCO struct {
-	rotated  *store.Matrix
-	rotation *matrix.Matrix
+	rotated *store.Matrix
+	// rotation is the D x D random orthogonal matrix, row-major float32:
+	// the only copy kept after New draws it in float64.
+	rotation []float32
 	dim      int
 	eps0     float64
 	deltaD   int
@@ -60,7 +62,8 @@ func (cfg *Config) withDefaults(dim int) {
 }
 
 // New builds the DCO by rotating data with a fresh random orthogonal
-// matrix.
+// matrix. Rows are rotated with the kernel queries use (vec.MatVec over
+// the float32 rotation).
 func New(data *store.Matrix, cfg Config) (*DCO, error) {
 	if data == nil || data.Rows() == 0 {
 		return nil, errors.New("adsampling: empty data")
@@ -68,34 +71,32 @@ func New(data *store.Matrix, cfg Config) (*DCO, error) {
 	dim := data.Dim()
 	cfg.withDefaults(dim)
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	rot := matrix.RandomOrthogonal(dim, rng)
+	rot := matrix.RandomOrthogonal(dim, rng).F32()
 	rotated, err := store.New(data.Rows(), dim)
 	if err != nil {
 		return nil, err
 	}
 	for i := 0; i < data.Rows(); i++ {
-		if err := rot.ApplyF32Into(rotated.Row(i), data.Row(i)); err != nil {
-			return nil, err
-		}
+		vec.MatVec(rotated.Row(i), rot, data.Row(i))
 	}
 	return newDCO(rotated, rot, cfg), nil
 }
 
-// NewWithRotation builds the DCO reusing pre-rotated data and its rotation
-// matrix (used by tests and by index serialization).
-func NewWithRotation(rotated *store.Matrix, rot *matrix.Matrix, cfg Config) (*DCO, error) {
+// NewWithRotation builds the DCO reusing pre-rotated data and its D x D
+// row-major rotation (used by tests and by index serialization).
+func NewWithRotation(rotated *store.Matrix, rot []float32, cfg Config) (*DCO, error) {
 	if rotated == nil || rotated.Rows() == 0 {
 		return nil, errors.New("adsampling: empty data")
 	}
 	dim := rotated.Dim()
-	if rot.Rows != dim || rot.Cols != dim {
+	if len(rot) != dim*dim {
 		return nil, errors.New("adsampling: rotation shape mismatch")
 	}
 	cfg.withDefaults(dim)
 	return newDCO(rotated, rot, cfg), nil
 }
 
-func newDCO(rotated *store.Matrix, rot *matrix.Matrix, cfg Config) *DCO {
+func newDCO(rotated *store.Matrix, rot []float32, cfg Config) *DCO {
 	dim := rotated.Dim()
 	d := &DCO{
 		rotated:  rotated,
@@ -121,12 +122,13 @@ func (d *DCO) Size() int { return d.rotated.Rows() }
 // Dim implements core.DCO.
 func (d *DCO) Dim() int { return d.dim }
 
-// ExtraBytes implements core.DCO: the D×D rotation matrix (stored as
-// float64 here; the paper counts D² floats).
-func (d *DCO) ExtraBytes() int64 { return int64(d.dim) * int64(d.dim) * 8 }
+// ExtraBytes implements core.DCO: the D×D float32 rotation matrix, the
+// D² floats the paper counts.
+func (d *DCO) ExtraBytes() int64 { return int64(d.dim) * int64(d.dim) * 4 }
 
-// Rotation exposes the rotation matrix for serialization.
-func (d *DCO) Rotation() *matrix.Matrix { return d.rotation }
+// Rotation exposes the D x D row-major rotation (read-only by convention)
+// for serialization and the experiments.
+func (d *DCO) Rotation() []float32 { return d.rotation }
 
 // Epsilon0 returns the effective significance parameter (defaults
 // applied), so serialization records what the comparator actually uses.
@@ -166,9 +168,7 @@ func (ev *evaluator) Reset(q []float32) error {
 	if len(q) != ev.parent.dim {
 		return errors.New("adsampling: query dimension mismatch")
 	}
-	if err := ev.parent.rotation.ApplyF32Into(ev.q, q); err != nil {
-		return err
-	}
+	vec.MatVec(ev.q, ev.parent.rotation, q)
 	ev.stats = core.Stats{}
 	return nil
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"resinfer/internal/raceguard"
 	"resinfer/internal/store"
 	"resinfer/internal/vec"
 )
@@ -172,7 +173,7 @@ func TestQueryDimMismatch(t *testing.T) {
 func TestExtraBytes(t *testing.T) {
 	r := rand.New(rand.NewSource(8))
 	dco, _ := New(store.MustFromRows(gauss(r, 10, 16)), Config{})
-	if dco.ExtraBytes() != 16*16*8 {
+	if dco.ExtraBytes() != 16*16*4 {
 		t.Fatalf("ExtraBytes = %d", dco.ExtraBytes())
 	}
 }
@@ -190,5 +191,30 @@ func TestNewWithRotationValidation(t *testing.T) {
 	}
 	if _, err := NewWithRotation(nil, dco.Rotation(), Config{}); err == nil {
 		t.Fatal("expected empty error")
+	}
+}
+
+// TestEvaluatorResetZeroAlloc guards the per-query path: rotating a query
+// into a pooled evaluator allocates nothing.
+func TestEvaluatorResetZeroAlloc(t *testing.T) {
+	if raceguard.Enabled {
+		t.Skip("race instrumentation allocates")
+	}
+	r := rand.New(rand.NewSource(10))
+	dco, err := New(store.MustFromRows(gauss(r, 50, 96)), Config{Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev := dco.NewEvaluator()
+	qs := gauss(r, 4, 96)
+	i := 0
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := ev.Reset(qs[i%len(qs)]); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	})
+	if allocs != 0 {
+		t.Fatalf("evaluator Reset: %v allocs/op, want 0", allocs)
 	}
 }

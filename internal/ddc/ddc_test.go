@@ -8,6 +8,7 @@ import (
 
 	"resinfer/internal/core"
 	"resinfer/internal/dataset"
+	"resinfer/internal/raceguard"
 	"resinfer/internal/vec"
 )
 
@@ -205,9 +206,34 @@ func TestResEstimationError(t *testing.T) {
 func TestResExtraBytes(t *testing.T) {
 	ds := getDS(t)
 	r, _ := NewRes(ds.Matrix(), ResConfig{Seed: 1})
-	want := int64(64*64*8 + len(ds.Data)*4)
+	want := int64(64*64*4 + len(ds.Data)*4)
 	if r.ExtraBytes() != want {
 		t.Fatalf("ExtraBytes = %d, want %d", r.ExtraBytes(), want)
+	}
+}
+
+// TestResEvaluatorResetZeroAlloc guards the per-query path: rotating a
+// query and rebuilding the σ suffix table in a pooled evaluator allocates
+// nothing.
+func TestResEvaluatorResetZeroAlloc(t *testing.T) {
+	if raceguard.Enabled {
+		t.Skip("race instrumentation allocates")
+	}
+	ds := getDS(t)
+	r, err := NewRes(ds.Matrix(), ResConfig{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev := r.NewEvaluator()
+	i := 0
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := ev.Reset(ds.Queries[i%len(ds.Queries)]); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	})
+	if allocs != 0 {
+		t.Fatalf("ddc-res evaluator Reset: %v allocs/op, want 0", allocs)
 	}
 }
 

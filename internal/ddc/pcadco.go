@@ -100,14 +100,14 @@ func (p *PCADCO) Size() int { return p.rotated.Rows() }
 // Dim implements core.DCO.
 func (p *PCADCO) Dim() int { return p.dim }
 
-// ExtraBytes implements core.DCO: rotation matrix plus the (negligible)
-// classifier parameters.
+// ExtraBytes implements core.DCO: the float32 rotation matrix (D² floats)
+// plus the (negligible) classifier parameters.
 func (p *PCADCO) ExtraBytes() int64 {
 	clf := int64(0)
 	for _, c := range p.classifiers {
 		clf += int64(len(c.W)+len(c.Mean)+len(c.Std)+1) * 8
 	}
-	return int64(p.dim)*int64(p.dim)*8 + clf
+	return int64(p.dim)*int64(p.dim)*4 + clf
 }
 
 // Levels exposes the trained projection depths.

@@ -125,10 +125,10 @@ func (r *Res) Size() int { return r.rotated.Rows() }
 // Dim implements core.DCO.
 func (r *Res) Dim() int { return r.dim }
 
-// ExtraBytes implements core.DCO: rotation matrix (D² float64) plus the
-// per-point norms (§VII Exp-3's space accounting for DDCres).
+// ExtraBytes implements core.DCO: the float32 rotation matrix (D² floats)
+// plus the per-point norms (§VII Exp-3's space accounting for DDCres).
 func (r *Res) ExtraBytes() int64 {
-	return int64(r.dim)*int64(r.dim)*8 + int64(len(r.norms))*4
+	return int64(r.dim)*int64(r.dim)*4 + int64(len(r.norms))*4
 }
 
 // Model exposes the trained PCA model (variance spectrum, rotation) for

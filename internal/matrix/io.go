@@ -30,3 +30,24 @@ func Decode(r *persist.Reader) (*Matrix, error) {
 	}
 	return &Matrix{Rows: rows, Cols: cols, Data: data}, nil
 }
+
+// EncodeF32 writes the rows x cols row-major float32 matrix data in
+// Encode's format. Widening to float64 is exact, so DecodeF32 returns the
+// same bits, and Decode reads the block as a Matrix.
+func EncodeF32(w *persist.Writer, rows, cols int, data []float32) {
+	wide := make([]float64, len(data))
+	for i, v := range data {
+		wide[i] = float64(v)
+	}
+	(&Matrix{Rows: rows, Cols: cols, Data: wide}).Encode(w)
+}
+
+// DecodeF32 reads a matrix written by Encode or EncodeF32, narrowing its
+// entries to float32.
+func DecodeF32(r *persist.Reader) (rows, cols int, data []float32, err error) {
+	m, err := Decode(r)
+	if err != nil {
+		return 0, 0, nil, err
+	}
+	return m.Rows, m.Cols, m.F32(), nil
+}

@@ -6,7 +6,7 @@
 // Procrustes step are all built on this package.
 //
 // Matrices are float64 internally for numerical robustness; the data plane
-// converts to float32 at the boundary (see ApplyF32).
+// converts to float32 at the boundary (see F32 and ApplyF32).
 package matrix
 
 import (
@@ -126,8 +126,10 @@ func (m *Matrix) Apply(x []float64) ([]float64, error) {
 	return out, nil
 }
 
-// ApplyF32 computes m*x for a float32 vector, returning float32. This is
-// the query-rotation hot path (O(D^2) per query, §VI-A of the paper).
+// ApplyF32 computes m*x for a float32 vector, returning float32, with
+// float64 accumulation. DDCopq rotates queries with it; the PCA and
+// ADSampling rotations are stored as float32 (see F32) and rotate with
+// vec.MatVec instead.
 func (m *Matrix) ApplyF32(x []float32) ([]float32, error) {
 	if len(x) != m.Cols {
 		return nil, fmt.Errorf("matrix: ApplyF32 len %d, want %d", len(x), m.Cols)
@@ -162,6 +164,17 @@ func (m *Matrix) ApplyF32Into(dst, x []float32) error {
 		dst[i] = float32(s)
 	}
 	return nil
+}
+
+// F32 returns m's entries narrowed to float32, row-major. A trained
+// rotation is kept in this form once training is done, so queries and
+// rows are rotated with the float32 SIMD kernels (vec.MatVec).
+func (m *Matrix) F32() []float32 {
+	out := make([]float32, len(m.Data))
+	for i, v := range m.Data {
+		out[i] = float32(v)
+	}
+	return out
 }
 
 // IsOrthonormal reports whether m's rows are orthonormal within tol.

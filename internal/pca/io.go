@@ -9,22 +9,25 @@ import (
 
 const modelMagic = "RIPCA1"
 
-// Encode writes the model to w.
+// Encode writes the model to w. The float32 rotation is widened into the
+// float64 matrix block, so the format is unchanged and a save→load round
+// trip is bit-identical.
 func (m *Model) Encode(w *persist.Writer) {
 	w.Magic(modelMagic)
 	w.Int(m.Dim)
 	w.F32s(m.Mean)
-	m.Rotation.Encode(w)
+	matrix.EncodeF32(w, m.Dim, m.Dim, m.Rotation)
 	w.F64s(m.Variances)
 	w.F32s(m.Sigmas)
 }
 
-// Decode reads a model previously written by Encode.
+// Decode reads a model previously written by Encode, narrowing the
+// rotation to float32 (models saved with a float64 rotation load too).
 func Decode(r *persist.Reader) (*Model, error) {
 	r.Magic(modelMagic)
 	dim := r.Int()
 	mean := r.F32s()
-	rot, err := matrix.Decode(r)
+	rows, cols, rot, err := matrix.DecodeF32(r)
 	if err != nil {
 		return nil, err
 	}
@@ -34,7 +37,7 @@ func Decode(r *persist.Reader) (*Model, error) {
 		return nil, err
 	}
 	if dim <= 0 || len(mean) != dim || len(variances) != dim ||
-		len(sigmas) != dim || rot.Rows != dim || rot.Cols != dim {
+		len(sigmas) != dim || rows != dim || cols != dim {
 		return nil, errors.New("pca: corrupt encoded model")
 	}
 	return &Model{Dim: dim, Mean: mean, Rotation: rot, Variances: variances, Sigmas: sigmas}, nil

@@ -16,13 +16,17 @@ import (
 
 	"resinfer/internal/matrix"
 	"resinfer/internal/store"
+	"resinfer/internal/vec"
 )
 
 // Model is a trained PCA rotation.
 type Model struct {
-	Dim      int            // data dimensionality D
-	Mean     []float32      // training mean, subtracted before rotation
-	Rotation *matrix.Matrix // D x D; row i is the i-th principal direction
+	Dim  int       // data dimensionality D
+	Mean []float32 // training mean, subtracted before rotation
+	// Rotation is the D x D rotation R, row-major float32; row i is the
+	// i-th principal direction. It is the only copy: the float64
+	// eigenvectors are narrowed once after training and dropped.
+	Rotation []float32
 	// Variances holds the variance of each rotated dimension in descending
 	// order (the eigenvalues of the covariance matrix). Variances[i] is the
 	// σ²ᵢ of Eq. 3.
@@ -67,7 +71,7 @@ func Train(data [][]float32, cfg Config) (*Model, error) {
 	m := &Model{
 		Dim:       d,
 		Mean:      make([]float32, d),
-		Rotation:  vecs,
+		Rotation:  vecs.F32(),
 		Variances: vals,
 		Sigmas:    make([]float32, d),
 	}
@@ -97,6 +101,8 @@ func (m *Model) Project(x []float32) ([]float32, error) {
 
 // ProjectInto is Project writing into dst using cent as centering scratch
 // (both of length Dim), allocating nothing. dst and cent must not alias x.
+// The rotation is D dispatched float32 dot products (vec.MatVec), the
+// per-query O(D²) cost of every PCA-based comparator.
 func (m *Model) ProjectInto(dst, x, cent []float32) error {
 	if len(x) != m.Dim {
 		return errors.New("pca: dimension mismatch")
@@ -107,12 +113,15 @@ func (m *Model) ProjectInto(dst, x, cent []float32) error {
 	for i := range x {
 		cent[i] = x[i] - m.Mean[i]
 	}
-	return m.Rotation.ApplyF32Into(dst, cent)
+	vec.MatVec(dst, m.Rotation, cent)
+	return nil
 }
 
 // ProjectMatrix rotates every row of data into a fresh flat matrix using
 // up to `workers` goroutines. Rotating n rows costs n·D² multiply-adds —
-// the dominant one-time cost of building a PCA-based DCO.
+// the dominant one-time cost of building a PCA-based DCO. Rows go through
+// ProjectInto, the kernel queries use, so rotated-space distances between
+// queries and rows are consistent.
 func (m *Model) ProjectMatrix(data *store.Matrix, workers int) (*store.Matrix, error) {
 	if data == nil || data.Rows() == 0 {
 		return nil, errors.New("pca: empty data")

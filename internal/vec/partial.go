@@ -90,3 +90,14 @@ func L2SqRangeFlat(q, flat []float32, base, lo, hi int) float32 {
 func DotRangeFlat(q, flat []float32, base, lo, hi int) float32 {
 	return Dot(q[lo:hi], flat[base+lo:base+hi])
 }
+
+// MatVec computes dst = M·x for the row-major matrix M held in flat, with
+// len(dst) rows of len(x) columns: one dispatched Dot per row. The PCA and
+// ADSampling rotations run queries and data rows through it alike, so both
+// sides of a rotated-space distance come from the same kernel.
+func MatVec(dst, flat, x []float32) {
+	n := len(x)
+	for i := range dst {
+		dst[i] = Dot(flat[i*n:(i+1)*n], x)
+	}
+}

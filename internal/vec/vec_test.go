@@ -292,6 +292,21 @@ func TestFlatKernelsMatchSliceKernels(t *testing.T) {
 	}
 }
 
+func TestMatVecMatchesRowDots(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for _, dim := range []int{1, 7, 8, 33, 64} {
+		rows := dim + 2 // non-square: rows come from len(dst)
+		x, flat := randVec(rng, dim), randVec(rng, rows*dim)
+		dst := make([]float32, rows)
+		MatVec(dst, flat, x)
+		for r := range dst {
+			if want := Dot(flat[r*dim:(r+1)*dim], x); dst[r] != want {
+				t.Fatalf("dim %d row %d: MatVec = %v want %v", dim, r, dst[r], want)
+			}
+		}
+	}
+}
+
 func TestSuffixIntoMatchesAllocating(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	a, w := make([]float32, 33), make([]float32, 33)

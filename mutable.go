@@ -268,13 +268,15 @@ func (mx *MutableIndex) Delete(id int) (bool, error) {
 
 // Compact synchronously compacts every shard with pending segments,
 // regardless of thresholds, and returns how many shards were rebuilt.
-// Searches keep running throughout. With a WAL attached, one checkpoint
-// covering the whole pass is written at the end.
+// A shard the background compactor is rebuilding is waited for, then
+// compacted again if rows arrived during that rebuild. Searches keep
+// running throughout. With a WAL attached, one checkpoint covering the
+// whole pass is written at the end.
 func (mx *MutableIndex) Compact() (int, error) {
 	var compacted int
 	var firstErr error
 	for s := 0; s < mx.sx.NumShards(); s++ {
-		did, err := mx.runCompact(s)
+		did, err := mx.runCompact(s, true)
 		if did {
 			compacted++
 		}
@@ -322,7 +324,7 @@ func (mx *MutableIndex) compactorLoop() {
 			}
 			mem, dead := mx.sx.segDepth(s)
 			if mem >= mx.cfg.CompactThreshold || dead >= mx.cfg.TombstoneThreshold {
-				if did, _ := mx.runCompact(s); did {
+				if did, _ := mx.runCompact(s, false); did {
 					compacted = true
 				}
 			}
@@ -335,9 +337,10 @@ func (mx *MutableIndex) compactorLoop() {
 	}
 }
 
-// runCompact compacts one shard and records the outcome counters.
-func (mx *MutableIndex) runCompact(s int) (bool, error) {
-	did, info, err := mx.sx.compactShard(s)
+// runCompact compacts one shard and records the outcome counters; wait is
+// compactShard's: whether to wait out a compaction already running there.
+func (mx *MutableIndex) runCompact(s int, wait bool) (bool, error) {
+	did, info, err := mx.sx.compactShard(s, wait)
 	if err != nil {
 		mx.compactErrors.Add(1)
 		return false, err

@@ -74,7 +74,7 @@ type shardSeg struct {
 	dead       *stream.Tombstones
 	baseHas    map[int]struct{} // global IDs present in the current base segment
 	hidden     int              // base rows invisible (tombstoned or shadowed by a memtable row)
-	compacting bool             // claimed by a running compaction (guarded by mutState.mu)
+	compacting chan struct{}    // set while a compaction claims the shard, closed on release (guarded by mutState.mu)
 }
 
 // mutState is the index-wide streaming state. Its mutex serializes
@@ -433,10 +433,13 @@ type compactInfo struct {
 // tombstones and shadowed rows, plus the memtable — retrains every
 // recorded comparator on the rebuilt base, and hot-swaps it in under the
 // shard's write lock. Searches keep running against the old base for the
-// whole build; the swap itself is a few pointer stores. It returns false
-// when there was nothing to do (no pending segments, a concurrent
-// compaction already claimed the shard, or every row is deleted).
-func (sx *ShardedIndex) compactShard(s int) (bool, compactInfo, error) {
+// whole build; the swap itself is a few pointer stores. When a concurrent
+// compaction has already claimed the shard, wait decides: false returns
+// at once, true waits for that compaction to finish and then compacts
+// what it left behind (rows written during its build). It returns false
+// when there was nothing to do (no pending segments, a claimed shard and
+// !wait, or every row is deleted).
+func (sx *ShardedIndex) compactShard(s int, wait bool) (bool, compactInfo, error) {
 	m := sx.mut
 	if m == nil {
 		return false, compactInfo{}, ErrImmutable
@@ -446,18 +449,25 @@ func (sx *ShardedIndex) compactShard(s int) (bool, compactInfo, error) {
 	}
 	m.mu.Lock()
 	seg := m.segs[s]
-	if seg.compacting {
+	for seg.compacting != nil {
+		done := seg.compacting
 		m.mu.Unlock()
-		return false, compactInfo{}, nil
+		if !wait {
+			return false, compactInfo{}, nil
+		}
+		<-done
+		m.mu.Lock()
 	}
-	seg.compacting = true
+	done := make(chan struct{})
+	seg.compacting = done
 	enables := append([]recordedEnable(nil), m.enables...)
 	opts := m.indexOpts
 	m.mu.Unlock()
 	defer func() {
 		m.mu.Lock()
-		seg.compacting = false
+		seg.compacting = nil
 		m.mu.Unlock()
+		close(done)
 	}()
 
 	// Snapshot the shard under the read lock: base and globalID are

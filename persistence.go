@@ -83,7 +83,7 @@ func (ix *Index) encode(pw *persist.Writer) error {
 			// have trained it with per-call options.
 			pw.F64(d.Epsilon0())
 			pw.Int(d.DeltaD())
-			d.Rotation().Encode(pw)
+			matrix.EncodeF32(pw, d.Dim(), d.Dim(), d.Rotation())
 			d.Rotated().Encode(pw)
 		case DDCRes:
 			ix.dcos[m].(*ddc.Res).Encode(pw)
@@ -188,9 +188,12 @@ func decodeIndex(pr *persist.Reader) (*Index, error) {
 			pr.Magic(adsMagic)
 			eps := pr.F64()
 			deltaD := pr.Int()
-			rot, derr := matrix.Decode(pr)
+			rows, cols, rot, derr := matrix.DecodeF32(pr)
 			if derr != nil {
 				return nil, derr
+			}
+			if rows != cols {
+				return nil, fmt.Errorf("resinfer: %s rotation is %dx%d, not square", m, rows, cols)
 			}
 			rotated, derr := store.Decode(pr)
 			if derr != nil {

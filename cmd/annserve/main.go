@@ -67,7 +67,7 @@ func main() {
 
 		k           = flag.Int("k", 10, "default k when a request omits it")
 		budget      = flag.Int("budget", 100, "default search budget when a request omits it")
-		batchWindow = flag.Duration("batch-window", 2*time.Millisecond, "micro-batching window (negative disables)")
+		batchWindow = flag.Duration("batch-window", 0, "negative disables micro-batching; otherwise /search dispatches as soon as an executor is free and batches only what queues while all are busy (the value is not a wait)")
 		batchMax    = flag.Int("batch-max", 64, "micro-batch size cap")
 		maxConc     = flag.Int("max-concurrent", 0, "max concurrent batch executions (0 = GOMAXPROCS)")
 		workers     = flag.Int("workers", 0, "SearchBatch worker count (0 = GOMAXPROCS)")

@@ -46,20 +46,20 @@ type pendingQuery struct {
 	resp     chan queryResult // buffered, capacity 1
 }
 
-// batcher is the micro-batching admission queue: single-query requests
-// are collected for a short window (or until a size cap) and executed as
-// one SearchBatch per parameter group, amortizing scheduling overhead
-// under concurrent load while keeping tail latency bounded by the window.
+// batcher is the work-conserving admission queue: a query is dispatched
+// as soon as an executor slot is free, together with whatever else is
+// already queued. Batches form only from queries that arrive while every
+// slot is busy (up to a size cap), so an idle server adds no wait and a
+// loaded one executes one SearchBatch per parameter group.
 type batcher struct {
 	idx       Searcher
 	tracedIdx batchTracedSearcher // idx's traced variant, nil if unsupported
 	ctxIdx    batchCtxSearcher    // idx's deadline-aware variant, nil if unsupported
 	in        chan pendingQuery
-	window    time.Duration
 	maxSize   int
 	maxDepth  int           // shed watermark; <= 0 disables shedding
 	workers   int           // workers handed to SearchBatch
-	sem       chan struct{} // shared concurrency limiter
+	sem       chan struct{} // shared executor slots; the collector takes one per batch
 	m         *metrics
 
 	done     chan struct{}
@@ -67,7 +67,7 @@ type batcher struct {
 	wg       sync.WaitGroup
 }
 
-func newBatcher(idx Searcher, window time.Duration, maxSize, maxDepth, workers int, sem chan struct{}, m *metrics) *batcher {
+func newBatcher(idx Searcher, maxSize, maxDepth, workers int, sem chan struct{}, m *metrics) *batcher {
 	// The queue buffer must cover the watermark: shedding is meant to be
 	// the backpressure mechanism, not a blocking channel send.
 	capacity := 4 * maxSize
@@ -77,7 +77,6 @@ func newBatcher(idx Searcher, window time.Duration, maxSize, maxDepth, workers i
 	b := &batcher{
 		idx:      idx,
 		in:       make(chan pendingQuery, capacity),
-		window:   window,
 		maxSize:  maxSize,
 		maxDepth: maxDepth,
 		workers:  workers,
@@ -115,7 +114,7 @@ func (b *batcher) submit(ctx context.Context, q []float32, key batchKey, tr *obs
 	case b.in <- pq:
 		// The depth histogram samples at admission: it sees the queue as
 		// arriving queries do, which is the distribution that matters for
-		// sizing the window and the cap.
+		// sizing the cap and the watermark.
 		b.m.queueHist.Observe(float64(b.m.queueDepth.Add(1)))
 	case <-b.done:
 		return queryResult{err: ErrServerClosed}
@@ -128,15 +127,11 @@ func (b *batcher) submit(ctx context.Context, q []float32, key batchKey, tr *obs
 	case <-b.done:
 		// Shutdown while waiting: an in-flight batch may still answer
 		// within the drain grace period; otherwise fail fast instead of
-		// sitting out the request timeout. The grace is derived from the
-		// batch window — a query admitted just before shutdown may sit in
-		// a collecting batch for up to one full window before it even
-		// executes, so a fixed constant shorter than the window would
-		// spuriously fail queries whose batch was still on its way.
+		// sitting out the request timeout.
 		select {
 		case r := <-pq.resp:
 			return r
-		case <-time.After(b.drainGrace()):
+		case <-time.After(drainGrace):
 			return queryResult{err: ErrServerClosed}
 		case <-ctx.Done():
 			return queryResult{err: ctx.Err()}
@@ -149,15 +144,9 @@ func (b *batcher) submit(ctx context.Context, q []float32, key batchKey, tr *obs
 }
 
 // drainGrace is how long a query admitted before shutdown waits for its
-// in-flight batch to answer: one full collection window (the longest it
-// can legitimately still be queued) plus a floor covering execution time.
-func (b *batcher) drainGrace() time.Duration {
-	const floor = 100 * time.Millisecond
-	if b.window <= 0 {
-		return floor
-	}
-	return b.window + floor
-}
+// in-flight batch to answer; it covers execution time, since a
+// collected batch dispatches as soon as an executor slot frees.
+const drainGrace = 100 * time.Millisecond
 
 // close stops the collector and fails queries still waiting in the queue.
 func (b *batcher) close() {
@@ -168,10 +157,12 @@ func (b *batcher) close() {
 	b.drainQueue()
 }
 
-// run collects queries into batches: the first arrival opens a window,
-// and the batch executes when the window elapses or the size cap fills.
-// Execution happens on a separate goroutine so collection never stalls
-// behind a slow search.
+// run collects queries into batches. The first arrival starts a batch
+// and the collector asks for an executor slot at once: if one is free the
+// batch dispatches immediately with whatever is already queued. Only
+// while every slot is busy do further arrivals join it, up to the size
+// cap. The slot travels with the batch to execute, which releases it, so
+// collection never stalls behind a slow search.
 func (b *batcher) run() {
 	defer b.wg.Done()
 	for {
@@ -183,19 +174,35 @@ func (b *batcher) run() {
 			return
 		}
 		batch := []pendingQuery{first}
-		timer := time.NewTimer(b.window)
+		acquired := false
 	collect:
 		for len(batch) < b.maxSize {
 			select {
+			case b.sem <- struct{}{}:
+				acquired = true
+				break collect
 			case pq := <-b.in:
 				batch = append(batch, pq)
-			case <-timer.C:
-				break collect
 			case <-b.done:
 				break collect
 			}
 		}
-		timer.Stop()
+		if acquired {
+			// A free slot: take along whatever queued meanwhile.
+		sweep:
+			for len(batch) < b.maxSize {
+				select {
+				case pq := <-b.in:
+					batch = append(batch, pq)
+				default:
+					break sweep
+				}
+			}
+		} else {
+			// A full batch, or shutdown: the collected queries still
+			// execute once a slot frees, without admitting more.
+			b.sem <- struct{}{}
+		}
 		b.wg.Add(1)
 		go b.execute(batch)
 		select {
@@ -221,10 +228,10 @@ func (b *batcher) drainQueue() {
 }
 
 // execute groups a collected batch by search parameters and runs one
-// SearchBatch per group under the shared concurrency limiter.
+// SearchBatch per group on the executor slot run acquired for it, which
+// it releases when done.
 func (b *batcher) execute(batch []pendingQuery) {
 	defer b.wg.Done()
-	b.sem <- struct{}{}
 	defer func() { <-b.sem }()
 
 	groups := map[batchKey][]int{}

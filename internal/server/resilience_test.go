@@ -59,15 +59,16 @@ func testQuery(t *testing.T) []float32 {
 func TestOverloadShed429(t *testing.T) {
 	sx := buildResilienceSharded(t, 2)
 	srv := New(sx, Config{
-		BatchWindow:   300 * time.Millisecond, // long window: the first query sits collecting
+		MaxConcurrent: 1,
 		BatchMaxSize:  64,
 		MaxQueueDepth: 1,
 		RetryAfter:    2 * time.Second,
 	})
-	defer srv.Close()
+	t.Cleanup(srv.Close)
 	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
+	t.Cleanup(ts.Close)
 	q := testQuery(t)
+	release := holdExecutors(t, srv) // busy executor: the first query sits queued
 
 	firstDone := make(chan int, 1)
 	go func() {
@@ -77,13 +78,7 @@ func TestOverloadShed429(t *testing.T) {
 	}()
 
 	// Wait for the first query to be admitted (queue depth 1 = watermark).
-	deadline := time.Now().Add(2 * time.Second)
-	for srv.metrics.queueDepth.Load() < 1 {
-		if time.Now().After(deadline) {
-			t.Fatal("first query never entered the admission queue")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitQueueDepth(t, srv, 1)
 
 	var out errorResponse
 	resp := postJSON(t, ts.URL+"/search", searchRequest{Query: q, K: 5, Mode: "exact"}, &out)
@@ -96,6 +91,7 @@ func TestOverloadShed429(t *testing.T) {
 	if st := srv.Stats(); st.Shed < 1 {
 		t.Fatalf("shed counter %d, want >= 1", st.Shed)
 	}
+	release()
 	if code := <-firstDone; code != http.StatusOK {
 		t.Fatalf("admitted query: status %d, want 200", code)
 	}

@@ -8,12 +8,12 @@
 //	GET  /debug/slowlog  ring buffer of requests over the slow threshold
 //	GET  /healthz        liveness plus index metadata
 //
-// Single-query requests pass through a micro-batching admission queue:
-// they are collected for a short window (or until a size cap) and run as
-// one SearchBatch, so concurrent callers share scheduling overhead. A
-// semaphore bounds how many batch executions run at once, and every
-// counter surfaced at /stats and /metrics is updated lock-free on the
-// request path.
+// Single-query requests pass through a work-conserving admission queue:
+// a query runs as soon as an executor slot is free, and queries arriving
+// while every slot is busy are grouped (up to a size cap) into one
+// SearchBatch. A semaphore bounds how many executions run at once, and
+// every counter surfaced at /stats and /metrics is updated lock-free on
+// the request path.
 //
 // A client can ask for its own request's pipeline timeline — decode,
 // admission-queue wait, shard fan-out (with per-shard timings), k-way
@@ -54,7 +54,7 @@ type Searcher interface {
 }
 
 // Config tunes the server. The zero value serves with exact search,
-// k=10, a 2ms batching window, and GOMAXPROCS-wide concurrency.
+// k=10, work-conserving micro-batching, and GOMAXPROCS-wide concurrency.
 type Config struct {
 	// DefaultK is used when a request omits k (default 10).
 	DefaultK int
@@ -68,12 +68,15 @@ type Config struct {
 	// they multiplex over GOMAXPROCS threads, so this bounds queue depth
 	// and memory, not CPU.
 	MaxConcurrent int
-	// BatchWindow is how long the admission queue collects single
-	// queries before executing (default 2ms). Negative disables
-	// micro-batching: /search calls run directly.
+	// BatchWindow switches the admission queue: negative disables
+	// micro-batching, so /search calls run directly; zero or positive
+	// enables it. Its magnitude is not a wait: a query dispatches as
+	// soon as an executor slot is free, and batches form only from
+	// queries that arrive while every slot is busy.
 	BatchWindow time.Duration
-	// BatchMaxSize executes a collecting batch early once it holds this
-	// many queries (default 64).
+	// BatchMaxSize caps how many queries join one batch while every
+	// executor slot is busy (default 64); a full batch waits for a slot
+	// without admitting more.
 	BatchMaxSize int
 	// SearchWorkers is the worker count handed to SearchBatch
 	// (default GOMAXPROCS).
@@ -85,12 +88,12 @@ type Config struct {
 	// response) rather than not at all.
 	RequestTimeout time.Duration
 	// MaxQueueDepth is the admission-queue watermark: single-query
-	// requests arriving while this many queries already sit in (or
-	// execute from) the micro-batcher are shed immediately with HTTP 429
-	// and a Retry-After hint, instead of queueing into collective
-	// timeout. Default 64×BatchMaxSize — deep enough that only sustained
-	// overload sheds, not a burst one batch round absorbs; negative
-	// disables shedding.
+	// requests arriving while this many queries are already in the
+	// micro-batcher (waiting for an executor slot, or executing) are
+	// shed immediately with HTTP 429 and a Retry-After hint, instead of
+	// queueing into collective timeout. Default 64×BatchMaxSize — deep
+	// enough that only sustained overload sheds, not a burst one batch
+	// round absorbs; negative disables shedding.
 	MaxQueueDepth int
 	// RetryAfter is the client back-off hint attached to shed (429)
 	// responses (default 1s).
@@ -148,9 +151,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxConcurrent <= 0 {
 		c.MaxConcurrent = runtime.GOMAXPROCS(0)
-	}
-	if c.BatchWindow == 0 {
-		c.BatchWindow = 2 * time.Millisecond
 	}
 	if c.BatchMaxSize <= 0 {
 		c.BatchMaxSize = 64
@@ -227,8 +227,8 @@ func New(idx Searcher, cfg Config) *Server {
 	if c.AccessLog {
 		s.access = log.New(os.Stderr, "", 0)
 	}
-	if c.BatchWindow > 0 {
-		s.batcher = newBatcher(idx, c.BatchWindow, c.BatchMaxSize, c.MaxQueueDepth, c.SearchWorkers, s.sem, &s.metrics)
+	if c.BatchWindow >= 0 {
+		s.batcher = newBatcher(idx, c.BatchMaxSize, c.MaxQueueDepth, c.SearchWorkers, s.sem, &s.metrics)
 	}
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("POST /search", s.handleSearch)

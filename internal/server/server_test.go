@@ -252,6 +252,41 @@ func TestServerBadRequests(t *testing.T) {
 	}
 }
 
+// holdExecutors occupies every executor slot of srv, as long-running
+// searches would, so /search queries stay queued in the admission queue
+// until the returned release frees the slots. Release is idempotent and
+// also runs at test cleanup; register srv.Close and the test server's
+// Close with t.Cleanup before calling this, so on a failed test the
+// slots free before either waits on a queued query.
+func holdExecutors(t *testing.T, srv *Server) (release func()) {
+	t.Helper()
+	for i := 0; i < cap(srv.sem); i++ {
+		srv.sem <- struct{}{}
+	}
+	var once sync.Once
+	release = func() {
+		once.Do(func() {
+			for i := 0; i < cap(srv.sem); i++ {
+				<-srv.sem
+			}
+		})
+	}
+	t.Cleanup(release)
+	return release
+}
+
+// waitQueueDepth waits until n queries sit in srv's admission queue.
+func waitQueueDepth(t *testing.T, srv *Server, n int64) {
+	t.Helper()
+	deadline := time.Now().Add(2 * time.Second)
+	for srv.metrics.queueDepth.Load() < n {
+		if time.Now().After(deadline) {
+			t.Fatalf("queue depth %d, want %d", srv.metrics.queueDepth.Load(), n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // A malformed query from one client must not poison a batch containing
 // other clients' valid queries: the handler rejects it before admission.
 func TestServerBadQueryDoesNotPoisonBatch(t *testing.T) {
@@ -260,12 +295,13 @@ func TestServerBadQueryDoesNotPoisonBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A wide window would group the two requests if the bad one were
-	// admitted to the queue.
-	srv := New(ix, Config{BatchWindow: 50 * time.Millisecond, BatchMaxSize: 8})
-	defer srv.Close()
+	// With the only executor busy the good query waits in a collecting
+	// batch, which the bad one would join if it were admitted.
+	srv := New(ix, Config{MaxConcurrent: 1, BatchMaxSize: 8})
+	t.Cleanup(srv.Close)
 	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
+	t.Cleanup(ts.Close)
+	release := holdExecutors(t, srv)
 
 	goodDone := make(chan int, 1)
 	go func() {
@@ -273,12 +309,13 @@ func TestServerBadQueryDoesNotPoisonBatch(t *testing.T) {
 		resp := postJSON(t, ts.URL+"/search", searchRequest{Query: ds.Queries[0], K: 5}, &out)
 		goodDone <- resp.StatusCode
 	}()
-	time.Sleep(10 * time.Millisecond) // land inside the good query's window
+	waitQueueDepth(t, srv, 1)
 	var eout errorResponse
 	resp := postJSON(t, ts.URL+"/search", searchRequest{Query: []float32{1, 2, 3}, K: 5}, &eout)
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad-dim query: status %d", resp.StatusCode)
 	}
+	release()
 	if code := <-goodDone; code != http.StatusOK {
 		t.Fatalf("valid query failed alongside a malformed one: status %d", code)
 	}
@@ -290,9 +327,10 @@ func TestServerCloseFailsQueued(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := New(ix, Config{BatchWindow: time.Second}) // long window keeps queries queued
+	srv := New(ix, Config{MaxConcurrent: 1})
 	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
+	t.Cleanup(ts.Close)
+	release := holdExecutors(t, srv) // a busy executor keeps the query queued
 
 	done := make(chan int, 1)
 	go func() {
@@ -300,16 +338,92 @@ func TestServerCloseFailsQueued(t *testing.T) {
 		resp := postJSON(t, ts.URL+"/search", searchRequest{Query: ds.Queries[0]}, &out)
 		done <- resp.StatusCode
 	}()
-	time.Sleep(50 * time.Millisecond)
-	srv.Close()
+	waitQueueDepth(t, srv, 1)
+	closed := make(chan struct{})
+	go func() {
+		srv.Close()
+		close(closed)
+	}()
 	select {
 	case code := <-done:
-		// Either the window had collected it (200 on race) or it failed
-		// with 503; both mean the server did not hang.
+		// Either its batch got a slot within the drain grace (200) or it
+		// failed with 503; both mean the server did not hang.
 		if code != http.StatusOK && code != http.StatusServiceUnavailable {
 			t.Fatalf("unexpected status %d", code)
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("queued query hung after Close")
+	}
+	// Close returns once the collected batch has run on a freed slot.
+	release()
+	<-closed
+}
+
+// TestServerIdleDispatch: on an idle server a lone /search dispatches at
+// once — the configured BatchWindow is not a wait.
+func TestServerIdleDispatch(t *testing.T) {
+	_, ts, queries := tracedServer(t, Config{BatchWindow: time.Second})
+	start := time.Now()
+	var out searchResponse
+	resp := postJSON(t, ts.URL+"/search", searchRequest{Query: queries[0], K: 5, Trace: true}, &out)
+	elapsed := time.Since(start)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d", resp.StatusCode)
+	}
+	if elapsed >= 500*time.Millisecond {
+		t.Fatalf("lone query took %v against a 1s BatchWindow; an idle server must not wait", elapsed)
+	}
+	if out.Trace == nil {
+		t.Fatal("no trace in response")
+	}
+	for _, st := range out.Trace.Stages {
+		if st.Name == "queue_wait" {
+			if st.DurUs >= 100_000 {
+				t.Fatalf("queue wait %dus on an idle server, want < 100ms", st.DurUs)
+			}
+			return
+		}
+	}
+	t.Fatalf("no queue_wait stage in %v", stageNames(out.Trace))
+}
+
+// TestServerBatchesWhileBusy: queries that arrive while the only executor
+// is busy are grouped into batches once it frees, and all of them answer.
+func TestServerBatchesWhileBusy(t *testing.T) {
+	const n = 8
+	srv, ts, queries := tracedServer(t, Config{MaxConcurrent: 1})
+	release := holdExecutors(t, srv)
+
+	codes := make(chan int, n)
+	for i := 0; i < n; i++ {
+		body, err := json.Marshal(searchRequest{Query: queries[i], K: 5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		go func() {
+			resp, err := http.Post(ts.URL+"/search", "application/json", bytes.NewReader(body))
+			if err != nil {
+				t.Error(err)
+				codes <- 0
+				return
+			}
+			resp.Body.Close()
+			codes <- resp.StatusCode
+		}()
+	}
+	waitQueueDepth(t, srv, n)
+	release()
+	for i := 0; i < n; i++ {
+		if code := <-codes; code != http.StatusOK {
+			t.Fatalf("query answered %d, want 200", code)
+		}
+	}
+	st := srv.Stats()
+	if st.BatchedQueries != n || st.Batches >= n {
+		t.Fatalf("batches=%d batched=%d: queries queued behind a busy executor must share batches",
+			st.Batches, st.BatchedQueries)
+	}
+	if st.AvgBatchSize <= 1 {
+		t.Fatalf("avg_batch_size %.2f, want > 1", st.AvgBatchSize)
 	}
 }

@@ -726,7 +726,12 @@ func (sx *ShardedIndex) merge(dst []Neighbor, fs *fanScratch, q []float32, k int
 				} else {
 					agg.ShardsFailed++
 					if firstErr == nil {
-						ferr := out.err
+						// An abandoned slot's err is still its straggler's
+						// to write: read it only once the probe is done.
+						var ferr error
+						if out.done {
+							ferr = out.err
+						}
 						if ferr == nil && h.done {
 							ferr = h.err
 						}
